@@ -215,8 +215,10 @@ def _write_trace(args: argparse.Namespace, sink) -> None:
     elif fmt == "jsonl":
         dump_jsonl(args.trace, events, meta)
     else:
+        # The report plus a newline, as tools/trace_report.py --out
+        # writes it.
         with open(args.trace, "w", encoding="utf-8") as fh:
-            fh.write(render_trace_report(events, meta))
+            fh.write(render_trace_report(events, meta) + "\n")
     print(f"wrote {fmt} trace ({len(events)} events) to {args.trace}")
 
 

@@ -6,7 +6,8 @@ Everything here is a pure function of a run's event list:
   the table behind Sect. 6.2's "93% of threads' time in the working
   state".
 * :func:`steal_matrix` -- who stole from whom (successful steals and
-  nodes moved), exposing victim hot-spots.
+  nodes moved), exposing victim hot-spots; :func:`steal_cells` holds
+  the same counts sparsely, for rank counts where n x n is too big.
 * :func:`steal_latencies` / :func:`steal_latency_histogram` -- time
   from a thief's request to its outcome, per attempt.
 * :func:`termination_breakdown` -- barrier entries/exits, when
@@ -20,6 +21,7 @@ All functions accept the event list from
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Dict, List, Optional, Tuple
 
 from repro.metrics.states import SEARCHING, STATES, WORKING
@@ -72,6 +74,27 @@ def state_occupancy(events: List[ObsEvent], n_threads: Optional[int] = None,
     return occupancy
 
 
+def steal_cells(events: List[ObsEvent], n_threads: int
+                ) -> Dict[Tuple[int, int], List[int]]:
+    """Sparse steal matrix: ``{(thief, victim): [steals, nodes]}``.
+
+    Holds only the pairs that stole, so it costs O(events) at any
+    rank count; :func:`steal_matrix` is its dense view.
+    """
+    cells: Dict[Tuple[int, int], List[int]] = {}
+    for ev in events:
+        if ev.kind != "steal":
+            continue
+        victim = ev.args.get("from")
+        if victim is None or not (0 <= ev.rank < n_threads) \
+                or not (0 <= victim < n_threads):
+            continue
+        cell = cells.setdefault((ev.rank, victim), [0, 0])
+        cell[0] += 1
+        cell[1] += ev.args.get("nodes", 0)
+    return cells
+
+
 def steal_matrix(events: List[ObsEvent], n_threads: Optional[int] = None
                  ) -> Tuple[List[List[int]], List[List[int]]]:
     """``(steals, nodes)`` matrices indexed ``[thief][victim]``.
@@ -83,15 +106,9 @@ def steal_matrix(events: List[ObsEvent], n_threads: Optional[int] = None
     n_threads, _ = _infer_shape(events, n_threads, None)
     steals = [[0] * n_threads for _ in range(n_threads)]
     nodes = [[0] * n_threads for _ in range(n_threads)]
-    for ev in events:
-        if ev.kind != "steal":
-            continue
-        victim = ev.args.get("from")
-        if victim is None or not (0 <= ev.rank < n_threads) \
-                or not (0 <= victim < n_threads):
-            continue
-        steals[ev.rank][victim] += 1
-        nodes[ev.rank][victim] += ev.args.get("nodes", 0)
+    for (thief, victim), (n, moved) in steal_cells(events, n_threads).items():
+        steals[thief][victim] = n
+        nodes[thief][victim] = moved
     return steals, nodes
 
 
@@ -124,17 +141,27 @@ def steal_latency_histogram(events: List[ObsEvent]
     Buckets cover every observed latency; empty interior buckets are
     included so histograms of different runs line up when diffed.
     """
-    latencies = [dt for _, dt in steal_latencies(events)]
+    return latency_buckets([dt for _, dt in steal_latencies(events)])
+
+
+def latency_buckets(latencies: List[float]
+                    ) -> List[Tuple[float, float, int]]:
+    """:func:`steal_latency_histogram` over latencies already extracted.
+
+    Each latency lands in the bucket with ``lo <= us < hi``, found by
+    bisection over the edges.
+    """
     if not latencies:
         return []
     edges: List[float] = [0.0, 1.0]
     while max(latencies) * 1e6 >= edges[-1]:
         edges.append(edges[-1] * 2)
-    buckets = []
-    for lo, hi in zip(edges, edges[1:]):
-        count = sum(1 for dt in latencies if lo <= dt * 1e6 < hi)
-        buckets.append((lo, hi, count))
-    return buckets
+    counts = [0] * (len(edges) - 1)
+    for dt in latencies:
+        i = bisect_right(edges, dt * 1e6) - 1
+        if 0 <= i < len(counts):
+            counts[i] += 1
+    return list(zip(edges, edges[1:], counts))
 
 
 def idle_summary(events: List[ObsEvent], n_threads: Optional[int] = None
@@ -228,7 +255,16 @@ def termination_breakdown(events: List[ObsEvent],
     the announcement and the end of the run.
     """
     n_threads, sim_time = _infer_shape(events, n_threads, sim_time)
-    occupancy = state_occupancy(events, n_threads, sim_time)
+    return termination_from_occupancy(
+        events, n_threads, sim_time,
+        state_occupancy(events, n_threads, sim_time))
+
+
+def termination_from_occupancy(events: List[ObsEvent], n_threads: int,
+                               sim_time: float,
+                               occupancy: Dict[int, Dict[str, float]]
+                               ) -> Dict[str, object]:
+    """:func:`termination_breakdown` reusing a computed occupancy."""
     entries = [0] * n_threads
     exits = [0] * n_threads
     prev_state = {r: (WORKING if r == 0 else SEARCHING)

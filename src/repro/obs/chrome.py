@@ -9,13 +9,17 @@ microseconds.
 
 The output is a plain dict; :func:`dump_chrome_trace` serialises it
 deterministically (sorted keys) so traces of identical runs are
-byte-identical and can be golden-file tested and diffed.
+byte-identical and can be golden-file tested and diffed.  The writer
+fills one fixed template per event phase instead of running json's
+pure-Python indenting encoder over every event, and produces exactly
+the bytes of ``json.dumps(doc, sort_keys=True, indent=1) + "\n"``.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, List, Optional
+from json.encoder import encode_basestring_ascii as _str
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from repro.metrics.states import SEARCHING, WORKING
 from repro.obs.events import ObsEvent
@@ -108,6 +112,89 @@ def to_chrome_trace(events: Iterable[ObsEvent], *,
     }
 
 
+_INF = float("inf")
+
+
+def _float(o: float) -> str:
+    """json's spelling of a float, NaN and the infinities included."""
+    if o != o:
+        return "NaN"
+    if o == _INF:
+        return "Infinity"
+    if o == -_INF:
+        return "-Infinity"
+    return float.__repr__(o)
+
+
+#: Exact-type encoders for the scalars json inlines; anything else
+#: (subclasses, containers, unsupported types) goes through json itself.
+_SCALARS: Dict[type, Callable[[Any], str]] = {
+    str: _str,
+    int: int.__repr__,
+    float: _float,
+    bool: lambda o: "true" if o else "false",
+    type(None): lambda o: "null",
+}
+
+
+def _value(o: Any, level: int) -> str:
+    """``o`` as json's ``indent=1, sort_keys=True`` writes it at ``level``."""
+    enc = _SCALARS.get(type(o))
+    if enc is not None:
+        return enc(o)
+    # Containers and rare types: json's own encoder, re-indented to this
+    # level (JSON text holds no raw newline outside its indentation), so
+    # its circularity check and TypeError on unsupported types still hold.
+    return json.dumps(o, sort_keys=True, indent=1).replace(
+        "\n", "\n" + " " * level)
+
+
+def _object(d: Any, level: int) -> str:
+    """An ``args`` or ``otherData`` mapping at nesting ``level``."""
+    if type(d) is not dict or not all(type(k) is str for k in d):
+        return _value(d, level)
+    if not d:
+        return "{}"
+    pad = "\n" + " " * (level + 1)
+    body = ("," + pad).join(f"{_str(k)}: {_value(d[k], level + 1)}"
+                            for k in sorted(d))
+    return "{" + pad + body + "\n" + " " * level + "}"
+
+
+# One template per phase: the keys to_chrome_trace sets for it, sorted,
+# indented as a trace event is (nesting level 2, inside "traceEvents").
+# The fields to_chrome_trace fixes per phase are spliced in here.
+_M = ('{\n   "args": %s,\n   "name": %s,\n   "ph": "M",\n'
+      f'   "pid": {_PID},\n   "tid": %s\n  }}')
+_X = ('{\n   "cat": "state",\n   "dur": %s,\n   "name": %s,\n'
+      f'   "ph": "X",\n   "pid": {_PID},\n   "tid": %s,\n   "ts": %s\n  }}')
+_I = ('{\n   "args": %s,\n   "cat": %s,\n   "name": %s,\n   "ph": "i",\n'
+      f'   "pid": {_PID},\n   "s": "t",\n   "tid": %s,\n   "ts": %s\n  }}')
+
+
+def _encode_event(ev: Dict[str, Any]) -> str:
+    ph = ev["ph"]
+    if ph == "X":
+        return _X % (_value(ev["dur"], 3), _value(ev["name"], 3),
+                     _value(ev["tid"], 3), _value(ev["ts"], 3))
+    if ph == "i":
+        return _I % (_object(ev["args"], 3), _value(ev["cat"], 3),
+                     _value(ev["name"], 3), _value(ev["tid"], 3),
+                     _value(ev["ts"], 3))
+    return _M % (_object(ev["args"], 3), _value(ev["name"], 3),
+                 _value(ev["tid"], 3))
+
+
+def _encode_doc(doc: Dict[str, Any]) -> str:
+    """``json.dumps(doc, sort_keys=True, indent=1)`` for a trace doc
+    (whose ``traceEvents`` always holds at least the process name)."""
+    return (f'{{\n "displayTimeUnit": {_value(doc["displayTimeUnit"], 1)},'
+            f'\n "otherData": {_object(doc["otherData"], 1)},'
+            '\n "traceEvents": [\n  '
+            + ",\n  ".join(map(_encode_event, doc["traceEvents"]))
+            + "\n ]\n}")
+
+
 def dump_chrome_trace(path: str, events: Iterable[ObsEvent], *,
                       n_threads: Optional[int] = None,
                       sim_time: Optional[float] = None,
@@ -116,6 +203,5 @@ def dump_chrome_trace(path: str, events: Iterable[ObsEvent], *,
     doc = to_chrome_trace(events, n_threads=n_threads, sim_time=sim_time,
                           meta=meta)
     with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+        fh.write(_encode_doc(doc) + "\n")
     return path

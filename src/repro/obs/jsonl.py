@@ -18,15 +18,16 @@ from repro.obs.events import ObsEvent
 
 __all__ = ["dump_jsonl", "load_jsonl", "to_jsonl_lines"]
 
+#: ``json.dumps(obj, sort_keys=True)`` builds a fresh encoder per call;
+#: one shared encoder writes the same bytes without that cost.
+_ENCODE = json.JSONEncoder(sort_keys=True).encode
+
 
 def to_jsonl_lines(events: Iterable[ObsEvent],
                    meta: Optional[Dict[str, Any]] = None) -> List[str]:
     """The log's lines (no trailing newlines), header first."""
-    lines: List[str] = []
-    if meta:
-        lines.append(json.dumps({"meta": meta}, sort_keys=True))
-    for ev in events:
-        lines.append(json.dumps(ev.to_dict(), sort_keys=True))
+    lines = [_ENCODE({"meta": meta})] if meta else []
+    lines += [_ENCODE(ev.to_dict()) for ev in events]
     return lines
 
 

@@ -17,12 +17,12 @@ from typing import Any, Dict, List, Optional
 from repro.metrics.states import STATES
 from repro.obs.analysis import (
     idle_summary,
+    latency_buckets,
     service_summary,
     state_occupancy,
+    steal_cells,
     steal_latencies,
-    steal_latency_histogram,
-    steal_matrix,
-    termination_breakdown,
+    termination_from_occupancy,
 )
 from repro.obs.events import ObsEvent
 
@@ -50,9 +50,8 @@ def _meta_section(meta: Dict[str, Any]) -> List[str]:
     return lines + [""]
 
 
-def _occupancy_section(events: List[ObsEvent], n_threads: int,
-                       sim_time: float) -> List[str]:
-    occ = state_occupancy(events, n_threads, sim_time)
+def _occupancy_section(occ: Dict[int, Dict[str, float]],
+                       n_threads: int) -> List[str]:
     lines = ["## State occupancy (Figure 1)", "",
              "Share of each rank's time per state; the aggregate",
              "`working` share is the paper's Sect.-6.2 efficiency number.",
@@ -75,8 +74,8 @@ def _occupancy_section(events: List[ObsEvent], n_threads: int,
 
 
 def _matrix_section(events: List[ObsEvent], n_threads: int) -> List[str]:
-    steals, nodes = steal_matrix(events, n_threads)
-    total = sum(map(sum, steals))
+    cells = steal_cells(events, n_threads)
+    total = sum(n for n, _ in cells.values())
     lines = ["## Steal-interaction matrix", "",
              f"{total} successful steal(s); rows are thieves, columns are "
              "victims (cell: steals, with nodes moved in parentheses).", ""]
@@ -85,16 +84,22 @@ def _matrix_section(events: List[ObsEvent], n_threads: int) -> List[str]:
     header = "| thief \\ victim | " + \
         " | ".join(f"T{v}" for v in range(n_threads)) + " | total |"
     lines += [header, "|---|" + "---|" * (n_threads + 1)]
+    # Almost every row is empty: render those from one string and patch
+    # only the cells of the thieves that stole.
+    empty = " | ".join(["·"] * n_threads)
+    rows: Dict[int, List[str]] = {}
+    row_totals = [0] * n_threads
+    col_totals = [0] * n_threads
+    for (thief, victim), (n, moved) in cells.items():
+        rows.setdefault(thief, ["·"] * n_threads)[victim] = f"{n} ({moved})"
+        row_totals[thief] += n
+        col_totals[victim] += n
     for thief in range(n_threads):
-        row = steals[thief]
-        cells = " | ".join(
-            f"{row[v]} ({nodes[thief][v]})" if row[v] else "·"
-            for v in range(n_threads))
-        lines.append(f"| T{thief} | {cells} | {sum(row)} |")
-    col_totals = [sum(steals[t][v] for t in range(n_threads))
-                  for v in range(n_threads)]
+        row = rows.get(thief)
+        body = empty if row is None else " | ".join(row)
+        lines.append(f"| T{thief} | {body} | {row_totals[thief]} |")
     lines.append("| **victimised** | " +
-                 " | ".join(str(c) for c in col_totals) + f" | {total} |")
+                 " | ".join(map(str, col_totals)) + f" | {total} |")
     return lines + [""]
 
 
@@ -107,15 +112,16 @@ def _latency_section(events: List[ObsEvent]) -> List[str]:
     lines.append("Attempts by outcome: " + ", ".join(
         f"{k}={v}" for k, v in sorted(outcomes.items())) + ".")
     lines += ["", "| latency (µs) | attempts |", "|---|---|"]
-    for lo, hi, count in steal_latency_histogram(events):
+    for lo, hi, count in latency_buckets([dt for _, dt in lats]):
         bar = "█" * count if count <= 60 else "█" * 60 + "…"
         lines.append(f"| [{lo:g}, {hi:g}) | {count} {bar} |")
     return lines + [""]
 
 
 def _termination_section(events: List[ObsEvent], n_threads: int,
-                         sim_time: float) -> List[str]:
-    td = termination_breakdown(events, n_threads, sim_time)
+                         sim_time: float,
+                         occ: Dict[int, Dict[str, float]]) -> List[str]:
+    td = termination_from_occupancy(events, n_threads, sim_time, occ)
     lines = ["## Termination phase", ""]
     if td["announce_time"] is not None:
         lines.append(
@@ -223,10 +229,11 @@ def render_trace_report(events: List[ObsEvent],
     for kind, n in sorted(counts.items()):
         lines.append(f"| {kind} | {n} |")
     lines.append("")
-    lines += _occupancy_section(events, n_threads, sim_time)
+    occ = state_occupancy(events, n_threads, sim_time)
+    lines += _occupancy_section(occ, n_threads)
     lines += _matrix_section(events, n_threads)
     lines += _latency_section(events)
-    lines += _termination_section(events, n_threads, sim_time)
+    lines += _termination_section(events, n_threads, sim_time, occ)
     lines += _idle_section(events, n_threads)
     lines += _service_section(events)
     lines += _fault_section(events)

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 from repro.uts.params import TreeParams
 from repro.uts.tree import Node, Tree
@@ -150,6 +149,10 @@ def tail_exponent(sizes, min_size: int = 2) -> tuple:
     Returns ``(alpha, r_value)``.  Near-critical binomial UTS trees
     should give alpha close to -1/2.
     """
+    # Imported here, not at module level: loading scipy.stats would
+    # otherwise dominate the start-up of every ``import repro``.
+    from scipy.stats import linregress
+
     data = np.asarray([s for s in sizes if s >= min_size], dtype=float)
     if data.size < 10:
         raise ValueError(f"need >= 10 tail samples, got {data.size}")
@@ -159,5 +162,5 @@ def tail_exponent(sizes, min_size: int = 2) -> tuple:
     keep = ccdf > 0  # drop the final point (log 0)
     log_s = np.log(data[keep])
     log_p = np.log(ccdf[keep])
-    fit = _scipy_stats.linregress(log_s, log_p)
+    fit = linregress(log_s, log_p)
     return float(fit.slope), float(fit.rvalue)

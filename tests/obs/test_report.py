@@ -1,6 +1,6 @@
 """The Markdown run report: every promised section, readable tables."""
 
-from repro.obs import render_trace_report
+from repro.obs import load_jsonl, render_trace_report
 
 from tests.obs.conftest import SMALL_THREADS
 
@@ -69,3 +69,31 @@ def test_idle_section_present_only_in_park_mode(traced_small_run,
     # The section's totals line reflects the trace counters.
     total = park_sink.counts_by_kind()["idle.park"]
     assert f"{total} park(s)" in park_report
+
+
+def test_cli_report_matches_trace_report_tool(tmp_path, capsys):
+    """``run --trace x.md`` writes the same bytes as
+    ``tools/trace_report.py --out`` renders from the run's JSONL log:
+    the report plus one newline."""
+    import importlib.util
+    import pathlib
+
+    from repro.harness.cli import main
+
+    tool = pathlib.Path(__file__).parents[2] / "tools" / "trace_report.py"
+    spec = importlib.util.spec_from_file_location("trace_report", tool)
+    trace_report = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(trace_report)
+
+    base = ["run", "--algorithm", "upc-distmem", "--threads", "4",
+            "--chunk-size", "4", "--b0", "32", "--q", "0.45",
+            "--tree-seed", "3", "--trace"]
+    md, log = tmp_path / "run.md", tmp_path / "run.jsonl"
+    assert main(base + [str(md)]) == 0
+    assert main(base + [str(log)]) == 0
+    out = tmp_path / "tool.md"
+    assert trace_report.main([str(log), "--out", str(out)]) == 0
+    assert md.read_bytes() == out.read_bytes()
+    meta, events = load_jsonl(str(log))
+    assert md.read_text(encoding="utf-8") == \
+        render_trace_report(events, meta) + "\n"

@@ -31,3 +31,21 @@ def test_subcritical_tree_tail_steeper():
 def test_exponent_deterministic():
     sizes = subtree_sizes(TreeParams.binomial(b0=500, m=2, q=0.48, seed=3))
     assert tail_exponent(sizes) == tail_exponent(sizes)
+
+
+def test_import_repro_does_not_load_scipy():
+    """scipy is loaded by tail_exponent on first use, not by ``import
+    repro``: it would otherwise dominate every process's start-up."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, repro, repro.uts.stats, repro.obs; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
